@@ -6,11 +6,12 @@ pytest-benchmark real multi-round timing data.
 
 The neighbor-kernel section additionally enforces wall-clock floors for
 the PR-4 shared backend (vectorized ABOD/COF/SOD scoring >= 2x their
-reference loops; the warm detector bank >= 2x the uncached reference
-baseline).  Refreshing the checked-in machine-readable ``BENCH_PR4.json``
-snapshot is **opt-in** — set ``REPRO_BENCH_WRITE=1`` on a quiet machine —
-because local timings drift +-20% run to run and an unconditional write
-churned the file on every benchmark invocation.
+per-row oracles in ``tests.oracles``; the warm detector bank >= 2x the
+uncached reference baseline).  Refreshing the checked-in
+machine-readable ``BENCH_PR4.json`` snapshot is **opt-in** — set
+``REPRO_BENCH_WRITE=1`` on a quiet machine — because local timings drift
++-20% run to run and an unconditional write churned the file on every
+benchmark invocation.
 """
 
 import json
@@ -28,6 +29,13 @@ from repro.core.variance import variance_history
 from repro.data.preprocessing import StandardScaler
 from repro.data.synthetic import make_anomaly_dataset
 from repro.detectors.registry import ALL_DETECTOR_NAMES, make_detector
+from repro.runtime import resolve_num_threads
+from tests.oracles import ReferenceABOD, ReferenceCOF, ReferenceSOD
+
+# Per-row scoring oracles standing in for the vectorized detectors in the
+# reference baselines.
+REFERENCE = {"ABOD": ReferenceABOD, "COF": ReferenceCOF,
+             "SOD": ReferenceSOD}
 
 
 @pytest.fixture(scope="module")
@@ -93,13 +101,13 @@ def pr4_snapshot():
     snapshot = {
         "benchmark": "PR4 shared neighbor-kernel backend",
         "note": "baseline_s disables the neighbor cache and uses the "
-                "engine='reference' loops in-process; it still runs the "
+                "per-row oracle loops in-process; it still runs the "
                 "PR-4 selection kernel, so it *understates* the speedup "
                 "over the real pre-PR main (paired runs on this box "
                 "measured pre-PR main at 2.65-2.84s for the bank pass, "
                 "vs ~2.4s for this baseline).",
         "config": {"n": BENCH_N, "d": BENCH_D,
-                   "threads": kernels.get_num_threads()},
+                   "threads": resolve_num_threads()},
         "env": {"python": platform.python_version(),
                 "numpy": np.__version__,
                 "cpu_count": os.cpu_count()},
@@ -144,7 +152,7 @@ def test_vectorized_engine_floor(bank_data, pr4_snapshot):
     kernels.cached_kneighbors(X, X, 20, exclude_self=True)  # warm graph
     for name in ("ABOD", "COF", "SOD"):
         vec = make_detector(name)
-        ref = make_detector(name, engine="reference")
+        ref = REFERENCE[name]()
         t_vec = _best_of(lambda: vec.fit(X))
         t_ref = _best_of(lambda: ref.fit(X))
         assert np.array_equal(vec.decision_scores_, ref.decision_scores_)
@@ -165,34 +173,36 @@ def test_vectorized_engine_floor(bank_data, pr4_snapshot):
 def test_detector_bank_pass_floor(bank_data, pr4_snapshot):
     """A full 20-detector bank pass vs the uncached reference baseline.
 
-    The baseline disables the neighbor cache and selects the
-    ``engine="reference"`` loops — the pre-PR-4 behaviour, kernel for
-    kernel.  Cold = first pass on a dataset (one graph build); warm =
-    repeat visits, the steady state of multi-seed/multi-detector sweeps.
-    The floor is on the warm pass, which shared runners time reliably;
-    the cold ratio is recorded in the snapshot.
+    The baseline disables the neighbor cache and swaps in the per-row
+    oracle loops — the behaviour before the shared kernel backend,
+    kernel for kernel.  Cold = first pass on a dataset (one graph
+    build); warm = repeat visits, the steady state of
+    multi-seed/multi-detector sweeps.  The floor is on the warm pass,
+    which shared runners time reliably; the cold ratio is recorded in
+    the snapshot.
     """
     X = bank_data
-    reference_engines = {"ABOD", "COF", "SOD"}
 
-    def bank(engine_override: bool) -> None:
+    def fit(name: str, use_oracles: bool) -> None:
+        if use_oracles and name in REFERENCE:
+            REFERENCE[name]().fit(X)
+        else:
+            make_detector(name, random_state=0).fit(X)
+
+    def bank(use_oracles: bool) -> None:
         for name in ALL_DETECTOR_NAMES:
-            kwargs = {"engine": "reference"} \
-                if engine_override and name in reference_engines else {}
-            make_detector(name, random_state=0, **kwargs).fit(X)
+            fit(name, use_oracles)
 
     neighbor_detectors = ("KNN", "LOF", "COF", "SOD", "ABOD")
 
-    def neighbor_fits(engine_override: bool) -> None:
+    def neighbor_fits(use_oracles: bool) -> None:
         for name in neighbor_detectors:
-            kwargs = {"engine": "reference"} \
-                if engine_override and name in reference_engines else {}
-            make_detector(name, random_state=0, **kwargs).fit(X)
+            fit(name, use_oracles)
 
     kernels.neighbor_cache.enabled = False
     try:
         kernels.clear_cache()
-        t_baseline = _best_of(lambda: bank(engine_override=True), 2)
+        t_baseline = _best_of(lambda: bank(use_oracles=True), 2)
         t_nb_baseline = _best_of(lambda: neighbor_fits(True), 2)
     finally:
         kernels.neighbor_cache.enabled = True
@@ -210,8 +220,8 @@ def test_detector_bank_pass_floor(bank_data, pr4_snapshot):
 
     kernels.clear_cache()
     t_cold = _best_of(lambda: (kernels.clear_cache(),
-                               bank(engine_override=False)), 2)
-    t_warm = _best_of(lambda: bank(engine_override=False), 2)
+                               bank(use_oracles=False)), 2)
+    t_warm = _best_of(lambda: bank(use_oracles=False), 2)
     stats = kernels.cache_stats()
 
     cold_speedup = t_baseline / t_cold

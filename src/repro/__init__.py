@@ -45,11 +45,11 @@ from repro.api import Pipeline, build_spec, clone, make_component, to_spec
 from repro.core import UADBooster
 from repro.data import Dataset, load_dataset, make_anomaly_dataset
 from repro.detectors import DETECTOR_NAMES, make_detector
-from repro.kernels import cache_stats, set_num_threads
+from repro.kernels import cache_stats
 from repro.metrics import auc_roc, average_precision
 from repro.runtime import Executor, RunContext
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "UADBooster",
@@ -68,6 +68,5 @@ __all__ = [
     "auc_roc",
     "average_precision",
     "cache_stats",
-    "set_num_threads",
     "__version__",
 ]

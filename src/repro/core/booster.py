@@ -88,11 +88,6 @@ class UADBooster(ParamsMixin):
         Booster MLP architecture (paper default: 128 units, 3 layers).
     epochs_per_iteration, batch_size, lr :
         Inner supervised-training hyper-parameters (paper: 10 / 256 / 1e-3).
-    engine : {'batched', 'sequential'}
-        Fold-training engine (see :mod:`repro.core.ensemble`).  'batched'
-        (default) trains all folds per step with stacked tensor ops and is
-        severalfold faster; 'sequential' is the original per-fold loop.
-        Both produce identical scores for a fixed ``random_state``.
     dtype : {'float32', 'float64'} or None
         Booster training precision.  ``None`` (default) resolves through
         the active :class:`repro.runtime.RunContext` (its ``dtype``
@@ -116,18 +111,20 @@ class UADBooster(ParamsMixin):
     Notes
     -----
     The fitted booster caches the standardised design matrix keyed on the
-    *object identity* of the most recently scored array, so repeated
-    :meth:`score_samples` calls on the same array skip re-scaling.
-    Mutating that array in place between calls therefore goes unnoticed
-    and returns stale scores — pass a fresh array after any in-place edit.
+    object identity of the most recently scored array plus a cheap content
+    fingerprint (shape/dtype, end elements, and element sum), so repeated
+    :meth:`score_samples` calls on the same array skip re-scaling, while an
+    in-place edit of that array that the fingerprint observes refreshes
+    the cache (see :class:`~repro.core.ensemble.FoldEnsemble`).  An edit
+    leaving the sum and both end elements bit-identical still slips
+    through; pass a fresh array after such an edit.
     """
 
     def __init__(self, n_iterations: int = 10, n_folds: int = 3,
                  hidden: int = 128, n_layers: int = 3,
                  epochs_per_iteration: int = 10, batch_size: int = 256,
-                 lr: float = 1e-3, engine: str = "batched",
-                 dtype: str | None = None, record_history: bool = True,
-                 random_state=None):
+                 lr: float = 1e-3, dtype: str | None = None,
+                 record_history: bool = True, random_state=None):
         if n_iterations < 1:
             raise ValueError(f"n_iterations must be >= 1, got {n_iterations}")
         self.n_iterations = n_iterations
@@ -137,7 +134,6 @@ class UADBooster(ParamsMixin):
         self.epochs_per_iteration = epochs_per_iteration
         self.batch_size = batch_size
         self.lr = lr
-        self.engine = engine
         # Canonical string (or None): numpy's dtype-vs-None equality
         # quirk would otherwise break default-elision in specs.
         self.dtype = None if dtype is None else str(np.dtype(dtype))
@@ -152,7 +148,7 @@ class UADBooster(ParamsMixin):
         return FoldEnsemble(
             n_folds=self.n_folds, hidden=self.hidden, n_layers=self.n_layers,
             epochs=self.epochs_per_iteration, batch_size=self.batch_size,
-            lr=self.lr, engine=self.engine, dtype=self.dtype,
+            lr=self.lr, dtype=self.dtype,
             random_state=self.random_state,
         )
 
@@ -219,7 +215,6 @@ class UADBooster(ParamsMixin):
                 "epochs_per_iteration": self.epochs_per_iteration,
                 "batch_size": self.batch_size,
                 "lr": self.lr,
-                "engine": self.engine,
                 "dtype": None if self.dtype is None else str(self.dtype),
                 "record_history": self.record_history,
                 "random_state": self.random_state,
@@ -231,8 +226,14 @@ class UADBooster(ParamsMixin):
         }
 
     def set_state(self, state: dict) -> "UADBooster":
-        """Restore a booster from :meth:`get_state` output."""
-        self.__init__(**state["config"])
+        """Restore a booster from :meth:`get_state` output.
+
+        The ``engine`` config key of states saved by repro <= 1.6 is
+        dropped.
+        """
+        config = dict(state["config"])
+        config.pop("engine", None)
+        self.__init__(**config)
         self.scores_ = state["scores"]
         self.pseudo_labels_ = state["pseudo_labels"]
         self.history_ = state["history"]

@@ -6,19 +6,13 @@ overfitting the source model"; at inference the three outputs are averaged.
 The fold networks and their Adam moment state persist across UADB
 iterations, so each iteration continues training rather than restarting.
 
-Two training engines are available:
-
-* ``'batched'`` (default) — the fold networks' parameters are stacked into
-  leading-axis tensors (:mod:`repro.nn.batched`) and every Adam step
-  advances all folds at once through single broadcast ``matmul`` calls.
-  This removes the per-fold Python loop from the hot path and is what makes
-  large benchmark sweeps tractable.
-* ``'sequential'`` — the original one-network-at-a-time loop, kept for
-  parity testing and as an executable specification of the semantics.
-
-Both engines consume the shared random stream in the same order (fold by
-fold, epoch by epoch) and perform bit-for-bit identical arithmetic, so a
-fixed ``random_state`` produces identical scores under either engine.
+The fold networks' parameters are stacked into leading-axis tensors
+(:mod:`repro.nn.batched`) and every Adam step advances all folds at once
+through single broadcast ``matmul`` calls, which removes the per-fold
+Python loop from the hot path.  The result is bit-for-bit identical to
+training the folds one network at a time under the same shared random
+stream; that per-fold loop is kept as a test-only parity oracle,
+``tests/oracles/SequentialFoldEnsemble``.
 """
 
 from __future__ import annotations
@@ -36,14 +30,11 @@ from repro.nn.batched import (
 )
 from repro.nn.losses import BCELoss, MSELoss
 from repro.nn.network import build_mlp
-from repro.nn.optimizers import Adam
-from repro.nn.training import TrainingHistory, iterate_minibatches, train
+from repro.nn.training import TrainingHistory, iterate_minibatches
 from repro.utils.rng import check_random_state, spawn_rng
 from repro.utils.validation import check_array
 
-__all__ = ["FoldEnsemble", "ENGINES"]
-
-ENGINES = ("batched", "sequential")
+__all__ = ["FoldEnsemble"]
 
 
 def _array_fingerprint(X):
@@ -94,10 +85,6 @@ class FoldEnsemble(ParamsMixin):
         min-max-scaled teacher scores are compressed near 0 (the common
         regime on low-contamination data).  'mse' reproduces the effect of
         a plain regression loss for ablation.
-    engine : {'batched', 'sequential'}
-        Training engine (see module docstring).  Both engines produce
-        identical scores for a fixed ``random_state``; 'batched' is
-        severalfold faster.
     dtype : {'float32', 'float64'} or None
         Training precision.  ``None`` (default) resolves through the
         active :class:`repro.runtime.RunContext` (its ``dtype`` field,
@@ -126,8 +113,7 @@ class FoldEnsemble(ParamsMixin):
                  n_layers: int = 3, epochs: int = 10, batch_size: int = 256,
                  lr: float = 1e-3, min_steps_per_round: int = 100,
                  first_round_steps: int = 300, loss: str = "bce",
-                 engine: str = "batched", dtype: str | None = None,
-                 random_state=None):
+                 dtype: str | None = None, random_state=None):
         if n_folds < 1:
             raise ValueError(f"n_folds must be >= 1, got {n_folds}")
         if min_steps_per_round < 0:
@@ -140,10 +126,6 @@ class FoldEnsemble(ParamsMixin):
             )
         if loss not in ("bce", "mse"):
             raise ValueError(f"loss must be 'bce' or 'mse', got {loss!r}")
-        if engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {ENGINES}, got {engine!r}"
-            )
         if dtype is not None and str(dtype) not in ("float32", "float64"):
             raise ValueError(
                 f"dtype must be 'float32', 'float64', or None, got {dtype!r}"
@@ -157,7 +139,6 @@ class FoldEnsemble(ParamsMixin):
         self.min_steps_per_round = min_steps_per_round
         self.first_round_steps = first_round_steps
         self.loss = loss
-        self.engine = engine
         # Stored as the canonical *string*, not np.dtype: numpy's
         # ``np.dtype('float64') == None`` is True (None coerces to the
         # default dtype), which would make spec/params default-elision
@@ -167,7 +148,6 @@ class FoldEnsemble(ParamsMixin):
         self._resolved_dtype = None
         self._rounds_done = 0
         self._networks = None
-        self._optimizers = None
         self._train_indices = None
         self._scaler = None
         self._rng = None
@@ -218,26 +198,27 @@ class FoldEnsemble(ParamsMixin):
                       random_state=r).astype(self._dtype)
             for r in net_rngs
         ]
-        if self.engine == "batched":
-            self._batched_net = stack_networks(self._networks)
-            # Per-fold networks view the stacked tensors: the ragged-step
-            # fallback and external introspection always see live weights.
-            link_networks(self._batched_net, self._networks)
-            self._batched_opt = BatchedAdam(
-                self._batched_net.params, self._batched_net.grads,
-                n_models=len(self._networks), lr=self.lr,
-                flat_params=self._batched_net.flat_params,
-                flat_grads=self._batched_net.flat_grads,
-            )
-        else:
-            self._optimizers = [
-                Adam(net.params, net.grads, lr=self.lr)
-                for net in self._networks
-            ]
+        self._stack()
         self._cache_key = X
         self._cache_fp = _array_fingerprint(X)
         self._cache_Z = self._scaler.transform(arr).astype(self._dtype)
         return self
+
+    def _stack(self) -> None:
+        """Stack the fold networks and build the stacked optimizer.
+
+        The per-fold networks are re-linked as views of the stacked
+        tensors, so the ragged-step fallback and external introspection
+        always see live weights.
+        """
+        self._batched_net = stack_networks(self._networks)
+        link_networks(self._batched_net, self._networks)
+        self._batched_opt = BatchedAdam(
+            self._batched_net.params, self._batched_net.grads,
+            n_models=len(self._networks), lr=self.lr,
+            flat_params=self._batched_net.flat_params,
+            flat_grads=self._batched_net.flat_grads,
+        )
 
     def _standardized(self, X) -> np.ndarray:
         """Validated + standardised ``X``, cached by identity + fingerprint.
@@ -270,8 +251,7 @@ class FoldEnsemble(ParamsMixin):
         """Train every fold network for ``epochs`` on its 2/3 split.
 
         Returns the per-fold :class:`~repro.nn.training.TrainingHistory`.
-        Under the batched engine all folds advance together, one stacked
-        Adam step at a time; the histories are identical either way.
+        All folds advance together, one stacked Adam step at a time.
         """
         if not self.is_initialized:
             raise RuntimeError("call initialize(X) before train_round")
@@ -281,26 +261,8 @@ class FoldEnsemble(ParamsMixin):
             raise ValueError("pseudo_labels length must match X")
         step_floor = (self.first_round_steps if self._rounds_done == 0
                       else self.min_steps_per_round)
-        if self.engine == "batched":
-            histories = self._train_round_batched(Z, y, step_floor)
-        else:
-            histories = self._train_round_sequential(Z, y, step_floor)
+        histories = self._train_round_batched(Z, y, step_floor)
         self._rounds_done += 1
-        return histories
-
-    def _train_round_sequential(self, Z: np.ndarray, y: np.ndarray,
-                                step_floor: int) -> list:
-        """Original per-fold loop — the parity reference."""
-        histories = []
-        for net, opt, idx in zip(self._networks, self._optimizers,
-                                 self._train_indices):
-            _, epochs = self._epoch_plan(idx.size, step_floor)
-            loss_fn = BCELoss() if self.loss == "bce" else MSELoss()
-            histories.append(
-                train(net, Z[idx], y[idx], epochs=epochs,
-                      batch_size=self.batch_size, optimizer=opt,
-                      loss=loss_fn, random_state=self._rng)
-            )
         return histories
 
     def _train_round_batched(self, Z: np.ndarray, y: np.ndarray,
@@ -308,14 +270,14 @@ class FoldEnsemble(ParamsMixin):
         """One stacked Adam step per minibatch across all folds at once.
 
         The batch schedule is drawn up front, fold by fold, consuming the
-        shared rng exactly as the sequential loop would; execution then
+        shared rng exactly as a per-fold training loop would; execution then
         interleaves the folds' steps.  Steps whose per-fold batches all
         have the same size — every full-width batch, i.e. the bulk of the
         schedule — run as single stacked tensor ops.  Ragged tail steps
         (uneven last batches, folds whose rounds are shorter) fall back to
         the per-fold 2-d layers, which share storage with the stacked
-        tensors, so both paths stay bit-for-bit identical to the
-        sequential engine.
+        tensors, so both paths stay bit-for-bit identical to training the
+        folds one network at a time.
         """
         K = len(self._train_indices)
         # Per-fold batch schedule as global row indices, epoch-major.
@@ -395,25 +357,19 @@ class FoldEnsemble(ParamsMixin):
         if not self.is_initialized:
             raise RuntimeError("call initialize(X) before predict")
         Z = self._standardized(X)
-        if self.engine == "batched":
-            # One broadcast forward scores every fold: (K, n, 1) -> (n, K).
-            out = self._batched_net.forward(Z[None, :, :])
-            self._batched_net.release_caches()
-            return out[:, :, 0].T
-        scores = np.column_stack(
-            [net.forward(Z).ravel() for net in self._networks])
-        for net in self._networks:
-            net.release_caches()
-        return scores
+        # One broadcast forward scores every fold: (K, n, 1) -> (n, K).
+        out = self._batched_net.forward(Z[None, :, :])
+        self._batched_net.release_caches()
+        return out[:, :, 0].T
 
     # -- persistence ------------------------------------------------------
     def get_state(self) -> dict:
         """Full training state for :mod:`repro.serving.artifacts`.
 
         Captures the constructor configuration, the fold networks (weights
-        only — under the batched engine these are views into the stacked
-        tensors, which the codec copies out), the optimizer moment state of
-        whichever engine is active, the fold split, the feature scaler, and
+        only — views into the stacked tensors, which the codec copies out),
+        the stacked optimizer's moment state, the fold split, the feature
+        scaler, and
         the shared random stream, so a restored ensemble both *scores*
         bit-identically and *continues training* bit-identically.
         """
@@ -428,7 +384,6 @@ class FoldEnsemble(ParamsMixin):
                 "min_steps_per_round": self.min_steps_per_round,
                 "first_round_steps": self.first_round_steps,
                 "loss": self.loss,
-                "engine": self.engine,
                 "dtype": None if self.dtype is None else str(self.dtype),
                 "random_state": self.random_state,
             },
@@ -442,9 +397,6 @@ class FoldEnsemble(ParamsMixin):
             "scaler": self._scaler,
             "rng": self._rng,
             "networks": self._networks,
-            "optimizers": (None if self._optimizers is None
-                           else [opt.get_state()
-                                 for opt in self._optimizers]),
             "batched_opt": (None if self._batched_opt is None
                             else self._batched_opt.get_state()),
         }
@@ -452,12 +404,18 @@ class FoldEnsemble(ParamsMixin):
     def set_state(self, state: dict) -> "FoldEnsemble":
         """Restore an ensemble from :meth:`get_state` output.
 
-        Re-validates the configuration through ``__init__``, then rebuilds
-        the engine-specific machinery: under the batched engine the fold
-        networks are re-stacked into fresh fused buffers and re-linked, and
-        the stacked optimizer's moments are copied back in.
+        Re-validates the configuration through ``__init__``, re-stacks the
+        fold networks into fresh fused buffers, re-links them, and copies
+        the stacked optimizer's moments back in.
+
+        States saved by repro <= 1.6 carry an ``engine`` config key, which
+        is dropped; a ``'sequential'`` one holds per-fold Adam states
+        (``optimizers``) instead of ``batched_opt``, whose moments and
+        timesteps are stacked so training continues bit-identically.
         """
-        self.__init__(**state["config"])
+        config = dict(state["config"])
+        config.pop("engine", None)
+        self.__init__(**config)
         resolved_dtype = state.get("resolved_dtype")
         if resolved_dtype is not None:
             self._resolved_dtype = np.dtype(resolved_dtype)
@@ -471,24 +429,21 @@ class FoldEnsemble(ParamsMixin):
         self._networks = state["networks"]
         if self._networks is None:
             return self
-        if self.engine == "batched":
-            self._batched_net = stack_networks(self._networks)
-            link_networks(self._batched_net, self._networks)
-            self._batched_opt = BatchedAdam(
-                self._batched_net.params, self._batched_net.grads,
-                n_models=len(self._networks), lr=self.lr,
-                flat_params=self._batched_net.flat_params,
-                flat_grads=self._batched_net.flat_grads,
-            )
-            if state["batched_opt"] is not None:
-                self._batched_opt.set_state(state["batched_opt"])
-        else:
-            self._optimizers = [
-                Adam(net.params, net.grads, lr=self.lr)
-                for net in self._networks
-            ]
-            if state["optimizers"] is not None:
-                for opt, opt_state in zip(self._optimizers,
-                                          state["optimizers"]):
-                    opt.set_state(opt_state)
+        self._stack()
+        opt_state = state.get("batched_opt")
+        if opt_state is None and state.get("optimizers") is not None:
+            opt_state = self._stacked_adam_state(state["optimizers"])
+        if opt_state is not None:
+            self._batched_opt.set_state(opt_state)
         return self
+
+    def _stacked_adam_state(self, fold_states: list) -> dict:
+        """One :class:`BatchedAdam` state from per-fold ``Adam`` states."""
+        state = {key: fold_states[0][key]
+                 for key in ("lr", "beta1", "beta2", "eps")}
+        state["t"] = [s["t"] for s in fold_states]
+        for key in ("m", "v"):
+            state[key] = [
+                np.stack([s[key][j] for s in fold_states]).reshape(p.shape)
+                for j, p in enumerate(self._batched_net.params)]
+        return state

@@ -47,8 +47,8 @@ class _VariantBase(ParamsMixin):
     def __init__(self, n_iterations: int = 10, n_folds: int = 3,
                  hidden: int = 128, n_layers: int = 3,
                  epochs_per_iteration: int = 10, batch_size: int = 256,
-                 lr: float = 1e-3, engine: str = "batched",
-                 dtype: str | None = None, random_state=None):
+                 lr: float = 1e-3, dtype: str | None = None,
+                 random_state=None):
         if n_iterations < 1:
             raise ValueError(f"n_iterations must be >= 1, got {n_iterations}")
         self.n_iterations = n_iterations
@@ -58,7 +58,6 @@ class _VariantBase(ParamsMixin):
         self.epochs_per_iteration = epochs_per_iteration
         self.batch_size = batch_size
         self.lr = lr
-        self.engine = engine
         # Canonical string (or None): numpy's dtype-vs-None equality
         # quirk would otherwise break default-elision in specs.
         self.dtype = None if dtype is None else str(np.dtype(dtype))
@@ -75,7 +74,7 @@ class _VariantBase(ParamsMixin):
         self._ensemble = FoldEnsemble(
             n_folds=self.n_folds, hidden=self.hidden, n_layers=self.n_layers,
             epochs=self.epochs_per_iteration, batch_size=self.batch_size,
-            lr=self.lr, engine=self.engine, dtype=self.dtype,
+            lr=self.lr, dtype=self.dtype,
             random_state=self.random_state,
         ).initialize(X)
 

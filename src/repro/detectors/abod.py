@@ -7,16 +7,13 @@ narrow cone (low variance).  The anomaly score is the negated variance of
 the distance-weighted cosine, computed over the ``n_neighbors`` nearest
 points (the FastABOD approximation, PyOD's default formulation).
 
-Scoring runs in one of two engines producing bit-identical scores:
-
-* ``"vectorized"`` (default) — all rows at once: the neighbor-difference
-  Gram matrices are a single stacked batched matmul ``(n, k, d) @
-  (n, d, k)`` and the pair variances one reduction over the stacked
-  upper triangles.  Rows with degenerate neighborhoods (duplicate
-  points) fall back to the per-row kernel so the filtering semantics
-  match exactly.
-* ``"reference"`` — the original one-row-at-a-time loop, kept as the
-  parity oracle.
+Scoring is vectorized over all rows at once: the neighbor-difference
+Gram matrices are a single stacked batched matmul ``(n, k, d) @ (n, d, k)``
+and the pair variances one reduction over the stacked upper triangles.
+Rows with degenerate neighborhoods (duplicate points) fall back to the
+per-row kernel so the filtering semantics match exactly.  The scores are
+bit-identical to a one-row-at-a-time loop, kept as the test-only parity
+oracle ``tests/oracles/ReferenceABOD``.
 
 Not part of the paper's 14 evaluated models; included because UADB is
 model-agnostic and ABOD is a standard ADBench baseline.
@@ -31,8 +28,6 @@ from repro.kernels import cached_kneighbors as kneighbors
 
 __all__ = ["ABOD"]
 
-_ENGINES = ("vectorized", "reference")
-
 # Element budget for the blocked vectorized tensors (tests shrink it to
 # force multi-block runs; blocking never changes results).
 _BLOCK_ELEMENTS = 2**22
@@ -45,19 +40,13 @@ class ABOD(BaseDetector):
     ----------
     n_neighbors : int
         Size of the neighbourhood over which angle pairs are formed.
-    engine : {'vectorized', 'reference'}
-        Batched scoring (default) or the per-row loop; identical scores.
     """
 
-    def __init__(self, n_neighbors: int = 10, contamination: float = 0.1,
-                 engine: str = "vectorized"):
+    def __init__(self, n_neighbors: int = 10, contamination: float = 0.1):
         super().__init__(contamination=contamination)
         if n_neighbors < 2:
             raise ValueError(f"n_neighbors must be >= 2, got {n_neighbors}")
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
         self.n_neighbors = n_neighbors
-        self.engine = engine
         self._X_train = None
 
     def _effective_k(self) -> int:
@@ -87,7 +76,7 @@ class ABOD(BaseDetector):
         # kernel's k < 2 guard (score 0.0) is the semantics, which the
         # batched variance reduction cannot express (var of zero pairs
         # is NaN) — so tiny neighborhoods always take the loop.
-        if self.engine == "reference" or idx.shape[1] < 2:
+        if idx.shape[1] < 2:
             scores = np.empty(X.shape[0])
             for i in range(X.shape[0]):
                 # Negate: low angle variance = outlier = high anomaly score.
@@ -111,7 +100,7 @@ class ABOD(BaseDetector):
                 sub = diffs[clean]
                 # One batched matmul for every row's neighbor-difference
                 # Gram matrix; numpy dispatches the same GEMM per (k, d)
-                # slice as the per-row loop, keeping the engines
+                # slice as the per-row kernel, keeping the results
                 # bit-identical.
                 dots = np.matmul(sub, sub.transpose(0, 2, 1))  # (m, k, k)
                 w = norms_sq[clean]
@@ -144,6 +133,6 @@ class ABOD(BaseDetector):
 
     def set_state(self, state: dict) -> "ABOD":
         super().set_state(state)
-        # Artifacts saved by repro <= 1.2 predate the engine parameter.
-        self.__dict__.setdefault("engine", "vectorized")
+        # Artifacts saved by repro 1.3 to 1.6 carry an engine attribute.
+        self.__dict__.pop("engine", None)
         return self

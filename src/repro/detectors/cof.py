@@ -6,14 +6,11 @@ k-neighbourhood.  Points whose chaining distance is large relative to their
 neighbours' are anomalies in low-density *patterns* (e.g. lines), which pure
 density methods miss.  PyOD default: ``k=20``.
 
-Chaining runs in one of two engines producing bit-identical scores:
-
-* ``"vectorized"`` (default) — every row's SBN-path is grown in lockstep
-  over the stacked ``(n, k+1, k+1)`` neighborhood distance tensor: one
-  batched Prim step (argmin + relax) per path position instead of a
-  Python loop per row.
-* ``"reference"`` — the original one-row-at-a-time loop, kept as the
-  parity oracle.
+Chaining is vectorized: every row's SBN-path is grown in lockstep over the
+stacked ``(n, k+1, k+1)`` neighborhood distance tensor, one batched Prim
+step (argmin + relax) per path position instead of a Python loop per row.
+The scores are bit-identical to a one-row-at-a-time loop, kept as the
+test-only parity oracle ``tests/oracles/ReferenceCOF``.
 """
 
 from __future__ import annotations
@@ -21,54 +18,31 @@ from __future__ import annotations
 import numpy as np
 
 from repro.detectors.base import BaseDetector
-from repro.kernels import cached_kneighbors, pairwise_distances
+from repro.kernels import cached_kneighbors
 
 __all__ = ["COF"]
-
-_ENGINES = ("vectorized", "reference")
 
 # Element budget for the blocked vectorized tensors (tests shrink it to
 # force multi-block runs; blocking never changes results).
 _BLOCK_ELEMENTS = 2**22
 
 
-def _average_chaining_distance(points: np.ndarray) -> float:
-    """Average chaining distance of the SBN-path rooted at ``points[0]``.
-
-    The SBN-path greedily extends the connected set with the point closest
-    to *any* already-connected point; edge ``i`` (1-based) gets weight
-    ``2 * (r - i) / (r * (r - 1))`` where ``r`` is the path length, so early
-    edges (closest connections) dominate — as defined in the COF paper.
-    """
-    r = points.shape[0]
-    if r < 2:
-        return 0.0
-    dist = pairwise_distances(points, points)
-    in_set = np.zeros(r, dtype=bool)
-    in_set[0] = True
-    best = dist[0].copy()
-    best[0] = np.inf
-    total = 0.0
-    for i in range(1, r):
-        nxt = int(np.argmin(best))
-        cost = float(best[nxt])
-        weight = 2.0 * (r - i) / (r * (r - 1))
-        total += weight * cost
-        in_set[nxt] = True
-        best = np.minimum(best, dist[nxt])
-        best[in_set] = np.inf
-    return total
-
-
 def _batched_chaining_distances(P: np.ndarray) -> np.ndarray:
     """Average chaining distance of every stacked path in ``P`` (n, r, d).
 
-    The greedy SBN construction is inherently sequential *along the
-    path*, but independent *across rows* — so the loop runs over the
-    ``r - 1`` path positions (a handful) and each step is one batched
-    argmin/relax over all rows.  Mirrors the scalar kernel operation for
-    operation (same distance expansion, same accumulation order), so the
-    result is bit-identical to looping `_average_chaining_distance`.
+    The SBN-path of ``P[i]`` is rooted at ``P[i, 0]`` and greedily extends
+    the connected set with the point closest to *any* already-connected
+    point; edge ``i`` (1-based) gets weight ``2 * (r - i) / (r * (r - 1))``
+    where ``r`` is the path length, so early edges (closest connections)
+    dominate — as defined in the COF paper.
+
+    The greedy construction is inherently sequential *along the path*, but
+    independent *across rows* — so the loop runs over the ``r - 1`` path
+    positions (a handful) and each step is one batched argmin/relax over
+    all rows.  It mirrors a per-row kernel over
+    :func:`repro.kernels.pairwise_distances` operation for operation (same
+    distance expansion, same accumulation order), so the result is
+    bit-identical to looping that kernel.
     """
     n, r, _ = P.shape
     if r < 2:
@@ -105,19 +79,13 @@ class COF(BaseDetector):
         Neighbourhood size ``k``.
     contamination : float
         See :class:`BaseDetector`.
-    engine : {'vectorized', 'reference'}
-        Batched chaining (default) or the per-row loop; identical scores.
     """
 
-    def __init__(self, n_neighbors: int = 20, contamination: float = 0.1,
-                 engine: str = "vectorized"):
+    def __init__(self, n_neighbors: int = 20, contamination: float = 0.1):
         super().__init__(contamination=contamination)
         if n_neighbors < 1:
             raise ValueError(f"n_neighbors must be >= 1, got {n_neighbors}")
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
         self.n_neighbors = n_neighbors
-        self.engine = engine
         self._X_train = None
         self._train_ac_dist = None
         self._train_neighbors = None
@@ -128,12 +96,6 @@ class COF(BaseDetector):
     def _ac_dists(self, X: np.ndarray, reference: np.ndarray,
                   idx: np.ndarray) -> np.ndarray:
         """Average chaining distance of every row's SBN-path."""
-        if self.engine == "reference":
-            ac = np.empty(X.shape[0])
-            for i in range(X.shape[0]):
-                path_points = np.vstack([X[i:i + 1], reference[idx[i]]])
-                ac[i] = _average_chaining_distance(path_points)
-            return ac
         n = X.shape[0]
         r = idx.shape[1] + 1
         ac = np.empty(n)
@@ -167,6 +129,6 @@ class COF(BaseDetector):
 
     def set_state(self, state: dict) -> "COF":
         super().set_state(state)
-        # Artifacts saved by repro <= 1.2 predate the engine parameter.
-        self.__dict__.setdefault("engine", "vectorized")
+        # Artifacts saved by repro 1.3 to 1.6 carry an engine attribute.
+        self.__dict__.pop("engine", None)
         return self

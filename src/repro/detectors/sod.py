@@ -8,15 +8,12 @@ reference mean within that subspace — catching anomalies visible only in a
 projection.  PyOD defaults: ``n_neighbors=20``, ``ref_set=10``,
 ``alpha=0.8``.
 
-Scoring runs in one of two engines producing bit-identical scores:
-
-* ``"vectorized"`` (default) — shared-neighbour overlaps for all rows at
-  once via a boolean-adjacency matrix product (instead of ``n * k``
-  Python ``set`` intersections), batched mean/variance/subspace
-  selection, and subspace distances grouped by subspace size so each
-  group is one exact contiguous reduction.
-* ``"reference"`` — the original one-row-at-a-time loop, kept as the
-  parity oracle.
+Scoring is vectorized: shared-neighbour overlaps for all rows at once via
+an equality tensor between neighbor lists (instead of ``n * k`` Python
+``set`` intersections), batched mean/variance/subspace selection, and
+subspace distances grouped by subspace size so each group is one exact
+contiguous reduction.  The scores are bit-identical to a one-row-at-a-time
+loop, kept as the test-only parity oracle ``tests/oracles/ReferenceSOD``.
 """
 
 from __future__ import annotations
@@ -27,8 +24,6 @@ from repro.detectors.base import BaseDetector
 from repro.kernels import cached_kneighbors
 
 __all__ = ["SOD"]
-
-_ENGINES = ("vectorized", "reference")
 
 # Element budget for the chunked SNN equality tensor (tests shrink it to
 # force multi-chunk runs; chunking never changes results).
@@ -46,13 +41,10 @@ class SOD(BaseDetector):
         Reference set size (must be <= n_neighbors).
     alpha : float in (0, 1)
         Variance threshold selecting the relevant subspace.
-    engine : {'vectorized', 'reference'}
-        Batched scoring (default) or the per-row loop; identical scores.
     """
 
     def __init__(self, n_neighbors: int = 20, ref_set: int = 10,
-                 alpha: float = 0.8, contamination: float = 0.1,
-                 engine: str = "vectorized"):
+                 alpha: float = 0.8, contamination: float = 0.1):
         super().__init__(contamination=contamination)
         if n_neighbors < 1:
             raise ValueError(f"n_neighbors must be >= 1, got {n_neighbors}")
@@ -65,9 +57,6 @@ class SOD(BaseDetector):
         self.n_neighbors = n_neighbors
         self.ref_set = ref_set
         self.alpha = alpha
-        self.engine = engine
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
         self._X_train = None
         self._train_knn = None
 
@@ -76,40 +65,8 @@ class SOD(BaseDetector):
         r = min(self.ref_set, k)
         return k, r
 
-    # -- reference engine (per-row) ---------------------------------------
-    def _snn_reference(self, candidate_idx: np.ndarray,
-                       own_neighbors: np.ndarray, r: int,
-                       train_knn_sets: list) -> np.ndarray:
-        """Pick the ``r`` candidates sharing the most neighbours with us."""
-        own = set(own_neighbors.tolist())
-        overlaps = np.array([
-            len(own.intersection(train_knn_sets[c])) for c in candidate_idx
-        ])
-        top = np.argsort(-overlaps, kind="mergesort")[:r]
-        return candidate_idx[top]
-
-    def _sod_score(self, x: np.ndarray, ref_points: np.ndarray) -> float:
-        mean = ref_points.mean(axis=0)
-        var = ref_points.var(axis=0)
-        mean_var = var.mean()
-        subspace = var < self.alpha * mean_var
-        if not subspace.any():
-            return 0.0
-        diff_sq = (x - mean) ** 2
-        return float(np.sqrt(diff_sq[subspace].sum()) / subspace.sum())
-
-    def _scores_reference(self, X: np.ndarray, idx: np.ndarray,
-                          r: int) -> np.ndarray:
-        train_knn_sets = [set(row.tolist()) for row in self._train_knn]
-        scores = np.empty(X.shape[0])
-        for i in range(X.shape[0]):
-            ref_idx = self._snn_reference(idx[i], idx[i], r, train_knn_sets)
-            scores[i] = self._sod_score(X[i], self._X_train[ref_idx])
-        return scores
-
-    # -- vectorized engine ------------------------------------------------
-    def _scores_vectorized(self, X: np.ndarray, idx: np.ndarray,
-                           r: int) -> np.ndarray:
+    def _scores(self, X: np.ndarray, idx: np.ndarray, r: int) -> np.ndarray:
+        """SOD score of every row of ``X`` given its neighbor indices."""
         n, k = idx.shape
 
         # SNN overlap counts |knn(query i) ∩ knn(candidate c)| for every
@@ -128,8 +85,8 @@ class SOD(BaseDetector):
                   == candidate_lists[start:stop, :, None, :])
             overlaps[start:stop] = eq.sum(axis=(2, 3))
 
-        # Same stable ranking as the reference: descending overlap,
-        # candidate order preserved on ties.
+        # Stable ranking: descending overlap, candidate order preserved
+        # on ties.
         top = np.argsort(-overlaps, axis=1, kind="mergesort")[:, :r]
         ref_idx = np.take_along_axis(idx, top, axis=1)
 
@@ -142,7 +99,7 @@ class SOD(BaseDetector):
 
         # Group rows by subspace size so each group's masked sum is one
         # contiguous (m, s) reduction — the same additions in the same
-        # order as the reference's 1-d gathered sum.
+        # order as a per-row 1-d gathered sum.
         counts = subspace.sum(axis=1)
         scores = np.zeros(n)
         for s in np.unique(counts):
@@ -152,11 +109,6 @@ class SOD(BaseDetector):
             picked = diff_sq[group][subspace[group]].reshape(-1, s)
             scores[group] = np.sqrt(picked.sum(axis=1)) / s
         return scores
-
-    def _scores(self, X: np.ndarray, idx: np.ndarray, r: int) -> np.ndarray:
-        if self.engine == "reference":
-            return self._scores_reference(X, idx, r)
-        return self._scores_vectorized(X, idx, r)
 
     def _fit(self, X):
         self._X_train = X.copy()
@@ -172,12 +124,12 @@ class SOD(BaseDetector):
 
     def set_state(self, state: dict) -> "SOD":
         super().set_state(state)
-        # Artifacts saved by repro <= 1.2 predate the engine parameter.
-        self.__dict__.setdefault("engine", "vectorized")
+        # Artifacts saved by repro 1.3 to 1.6 carry an engine attribute.
+        self.__dict__.pop("engine", None)
         if isinstance(self._train_knn, list):
-            # Artifacts saved by repro <= 1.2 stored neighbor sets; both
-            # engines consume them order-insensitively (membership
-            # counts), so a sorted ndarray is an exact stand-in.
+            # Artifacts saved by repro <= 1.2 stored neighbor sets; scoring
+            # consumes them order-insensitively (membership counts), so a
+            # sorted ndarray is an exact stand-in.
             self._train_knn = np.array(
                 [sorted(row) for row in self._train_knn], dtype=np.int64)
         return self

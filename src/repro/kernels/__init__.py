@@ -11,16 +11,17 @@ One compute substrate behind every distance consumer in the repo
   fingerprint-keyed memoization of self k-NN graphs, monotone in ``k``:
   one build serves the whole detector bank (see
   :mod:`repro.kernels.cache`).
-* :func:`set_num_threads` / :func:`get_num_threads` — thread-count
-  control, now a shim over :mod:`repro.runtime`: the count is one field
-  of the scoped :class:`~repro.runtime.RunContext` (``REPRO_NUM_THREADS``
-  env var, ``repro --threads`` CLI flag, ``with RunContext(num_threads=n)``).
-  Thread count, chunking, and cache state never change results — only
-  wall-clock time.
+
+The thread count is one field of the scoped
+:class:`~repro.runtime.RunContext` (``with RunContext(num_threads=n)``,
+:func:`repro.runtime.configure`, the ``REPRO_NUM_THREADS`` env var, the
+``repro --threads`` CLI flag).  Thread count, chunking, and cache state
+never change results — only wall-clock time.
 
 >>> from repro import kernels
->>> kernels.set_num_threads(4)
->>> dist, idx = kernels.cached_kneighbors(X, X, k=20, exclude_self=True)
+>>> from repro.runtime import RunContext
+>>> with RunContext(num_threads=4):
+...     dist, idx = kernels.cached_kneighbors(X, X, k=20, exclude_self=True)
 >>> kernels.cache_stats()["builds"]
 1
 """
@@ -31,7 +32,6 @@ import numpy as np
 
 from repro.kernels.cache import NeighborCache, fingerprint
 from repro.kernels.distance import kneighbors, pairwise_distances
-from repro.kernels.threading import get_num_threads, set_num_threads
 
 __all__ = [
     "pairwise_distances",
@@ -42,8 +42,6 @@ __all__ = [
     "fingerprint",
     "cache_stats",
     "clear_cache",
-    "set_num_threads",
-    "get_num_threads",
 ]
 
 #: The process-wide cache shared by the detector bank, the experiment

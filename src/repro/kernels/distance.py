@@ -6,7 +6,7 @@ The brute-force O(n^2) search previously lived in
 with two upgrades:
 
 * **Threaded blocks** — query rows are processed in fixed-size chunks
-  fanned out over :func:`repro.kernels.threading.map_blocks`.  The block
+  fanned out over :func:`repro.runtime.map_blocks`.  The block
   boundaries are deterministic, so any thread count returns bit-identical
   output.
 * **Exact-recompute fallback** — the fast ``a^2 + b^2 - 2ab`` expansion
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.threading import map_blocks
+from repro.runtime import map_blocks
 
 __all__ = ["pairwise_distances", "kneighbors"]
 
@@ -51,10 +51,11 @@ def pairwise_distances(A: np.ndarray, B: np.ndarray,
                        chunk_size: int = 1024) -> np.ndarray:
     """Euclidean distance matrix between rows of ``A`` and rows of ``B``.
 
-    Computed in ``chunk_size`` row blocks of ``A``, threaded when
-    :func:`repro.kernels.get_num_threads` allows; chunking bounds the
-    peak memory of intermediate blocks and gives the threads disjoint
-    work.  Output is identical for any chunk/thread configuration.
+    Computed in ``chunk_size`` row blocks of ``A``, threaded up to the
+    active :class:`~repro.runtime.RunContext`'s thread budget; chunking
+    bounds the peak memory of intermediate blocks and gives the threads
+    disjoint work.  Output is identical for any chunk/thread
+    configuration.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -97,8 +98,9 @@ def kneighbors(query: np.ndarray, reference: np.ndarray, k: int,
         row ``i`` of the reference.
     chunk_size : int
         Number of query rows processed per distance block.  Blocks run in
-        parallel under :func:`repro.kernels.set_num_threads` /
-        ``REPRO_NUM_THREADS``; neither knob changes the result.
+        parallel under the :class:`~repro.runtime.RunContext` thread
+        budget (``num_threads`` / ``REPRO_NUM_THREADS``); neither knob
+        changes the result.
 
     Returns
     -------

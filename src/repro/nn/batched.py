@@ -9,13 +9,15 @@ broadcast ``matmul`` per layer advances *all* folds at once.
 
 Numerical contract
 ------------------
-The batched primitives are **bit-for-bit identical** to the per-fold path
-when driven with the same data and the same random stream:
+The batched primitives are **bit-for-bit identical** to training the folds
+one network at a time (2-d :class:`~repro.nn.layers.Dense` layers and
+:class:`~repro.nn.optimizers.Adam`) when driven with the same data and the
+same random stream:
 
 * ``np.matmul`` on a stacked ``(K, n, d)`` operand performs the same GEMM
   per slice as the 2-d ``x @ W`` call, as long as the per-slice shapes
   match the 2-d shapes exactly.  (BLAS selects kernels by shape, so *any*
-  padding of ragged batches breaks bitwise equality — the training engine
+  padding of ragged batches breaks bitwise equality — the fold ensemble
   therefore only takes the stacked path for steps whose per-fold batches
   all have the same size, and runs ragged tail steps through the per-fold
   2-d layers instead; see ``FoldEnsemble._train_round_batched``.)
@@ -23,12 +25,13 @@ when driven with the same data and the same random stream:
   bit-identical on stacked arrays;
 * Adam bias corrections use Python scalar ``beta ** t`` per model — the
   scalar and :func:`np.power` results differ in the last ulp for some
-  exponents, and the sequential optimizer uses the scalar form.
+  exponents, and the per-fold optimizer uses the scalar form.
 
 :func:`link_networks` rebinds the per-fold networks' parameters to views
 of the stacked tensors, so both representations share storage and stay in
 sync whichever path trained last.  ``tests/core/test_engine_parity.py``
-asserts the resulting booster scores are exactly equal across engines.
+asserts the resulting booster scores exactly equal those of the per-fold
+loop, kept as the test-only oracle ``tests/oracles/SequentialFoldEnsemble``.
 """
 
 from __future__ import annotations
@@ -296,7 +299,7 @@ class BatchedAdam:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
         # Python ints: bias corrections must use scalar ``beta ** t`` to
-        # match the sequential optimizer bit-for-bit.
+        # match the per-fold optimizer bit-for-bit.
         self._t = [0] * n_models
 
     def get_state(self) -> dict:

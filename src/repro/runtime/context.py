@@ -1,10 +1,10 @@
 """RunContext: one scoped, immutable execution configuration.
 
 Before this module, run configuration was three mechanisms that could not
-see each other: a process-global kernel thread count
-(``repro.kernels.threading``), an ``n_jobs`` argument threaded by hand
-through the experiment harness, and environment variables read mid-
-computation wherever a consumer happened to need them.  A
+see each other: a process-global kernel thread count, an ``n_jobs``
+argument threaded by hand through the experiment harness, and environment
+variables read mid-computation wherever a consumer happened to need them.
+A
 :class:`RunContext` replaces all of that with a single first-class value
 holding the run's **seed policy, thread budget, job budget, cache
 enablement, and dtype default** — scoped with a context manager,
@@ -25,8 +25,7 @@ Scoping rules
 ``with RunContext(num_threads=2):`` pushes a context for the current
 thread; on exit (normal or exceptional) the previous configuration is
 restored exactly.  Nested scoped contexts merge: fields left ``None``
-inherit from the enclosing scoped context.  :func:`configure` (which
-backs the legacy ``repro.kernels.set_num_threads``) maintains a
+inherit from the enclosing scoped context.  :func:`configure` maintains a
 process-global base context underneath every scope: fields a scoped
 context leaves ``None`` fall through to the **live** base at resolution
 time, so entering a scope never freezes unrelated global configuration.
@@ -253,9 +252,9 @@ class RunContext(ParamsMixin):
     # -- scoping -----------------------------------------------------------
     def __enter__(self) -> "RunContext":
         # Merge over the enclosing *scoped* context only — the global
-        # base is consulted live at resolution time, so configure() /
-        # set_num_threads() calls made while a scope is active still
-        # take effect for fields the scope leaves None.
+        # base is consulted live at resolution time, so configure()
+        # calls made while a scope is active still take effect for
+        # fields the scope leaves None.
         merged = _merge(scoped_context(), self)
         _tls_stack().append(merged)
         return merged
@@ -310,8 +309,7 @@ def configure(**fields) -> RunContext | None:
 
     The programmatic equivalent of exporting an environment variable:
     every thread inherits it unless a scoped context overrides.  A field
-    explicitly passed as ``None`` is cleared.  Backs the legacy
-    ``repro.kernels.set_num_threads``.
+    explicitly passed as ``None`` is cleared.
     """
     global _base
     unknown = set(fields) - set(_FIELDS)

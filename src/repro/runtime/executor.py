@@ -246,7 +246,7 @@ def start_worker(fn, *, name: str | None = None,
     scorer): the creating thread's *scoped* context is captured and
     activated inside the worker for its whole lifetime.  The process-
     global base is deliberately not baked in — it stays a live fallback,
-    so a later ``configure()``/``set_num_threads()`` still reaches a
+    so a later ``configure()`` still reaches a
     worker whose creator had no scoped override.
     """
     ctx = scoped_context()

@@ -13,8 +13,8 @@ carries ``format_version`` so future layouts can evolve: readers refuse
 artifacts written by a *newer* format instead of mis-parsing them.
 
 :func:`save_model` / :func:`load_model` round-trip any class registered
-with :mod:`repro.serving.state` — ``UADBooster``, ``FoldEnsemble`` (both
-engines), and every detector in :mod:`repro.detectors.registry` — such
+with :mod:`repro.serving.state` — ``UADBooster``, ``FoldEnsemble``, and
+every detector in :mod:`repro.detectors.registry` — such
 that ``decision_scores``/``predict`` outputs are bit-identical before and
 after the trip.  :class:`ModelStore` maps model ids onto a directory of
 artifacts for the scoring service.

@@ -34,7 +34,6 @@ class TestGetParams:
         params = booster.get_params()
         assert params["n_iterations"] == 3
         assert params["hidden"] == 16
-        assert params["engine"] == "batched"
 
     def test_normalised_attribute_round_trips(self):
         # FoldEnsemble stores dtype as np.dtype; feeding it back through

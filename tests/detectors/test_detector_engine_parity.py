@@ -1,9 +1,10 @@
-"""Vectorized vs reference engine parity for ABOD / COF / SOD.
+"""Vectorized ABOD / COF / SOD vs their per-row oracles.
 
 The acceptance bar is exact equality (``np.array_equal``), not allclose:
-the vectorized engines are engineered to perform the same floating-point
-operations in the same order as the retained per-row loops (same GEMM
-shapes, contiguous reductions, count-grouped masked sums).
+the vectorized scoring is engineered to perform the same floating-point
+operations in the same order as the per-row loops in
+``tests/oracles/detectors.py`` (same GEMM shapes, contiguous reductions,
+count-grouped masked sums).
 """
 
 import numpy as np
@@ -13,8 +14,10 @@ import repro.kernels as kernels
 from repro.data.preprocessing import StandardScaler
 from repro.data.synthetic import make_anomaly_dataset
 from repro.detectors import ABOD, COF, SOD
+from tests.oracles import ReferenceABOD, ReferenceCOF, ReferenceSOD
 
-ENGINES = [ABOD, COF, SOD]
+ORACLES = {ABOD: ReferenceABOD, COF: ReferenceCOF, SOD: ReferenceSOD}
+DETECTORS = list(ORACLES)
 
 
 def _conformance_datasets():
@@ -40,56 +43,56 @@ def fresh_cache():
     kernels.clear_cache()
 
 
-@pytest.mark.parametrize("cls", ENGINES)
+@pytest.mark.parametrize("cls", DETECTORS)
 @pytest.mark.parametrize("name,X", DATASETS, ids=[n for n, _ in DATASETS])
 class TestEngineParity:
     def test_fit_scores_exactly_equal(self, cls, name, X):
-        vec = cls(engine="vectorized").fit(X)
-        ref = cls(engine="reference").fit(X)
+        vec = cls().fit(X)
+        ref = ORACLES[cls]().fit(X)
         np.testing.assert_array_equal(vec.decision_scores_,
                                       ref.decision_scores_)
 
     def test_decision_function_exactly_equal(self, cls, name, X):
-        vec = cls(engine="vectorized").fit(X)
-        ref = cls(engine="reference").fit(X)
+        vec = cls().fit(X)
+        ref = ORACLES[cls]().fit(X)
         queries = np.vstack([X[:25] * 1.01, X[:5]])  # shifted + exact hits
         np.testing.assert_array_equal(vec.decision_function(queries),
                                       ref.decision_function(queries))
 
 
-@pytest.mark.parametrize("cls", ENGINES)
-class TestEngineParam:
-    def test_default_is_vectorized(self, cls):
-        assert cls().engine == "vectorized"
-
-    def test_invalid_engine_rejected(self, cls):
-        with pytest.raises(ValueError, match="engine"):
-            cls(engine="gpu")
-
-    def test_engine_in_params(self, cls):
-        assert cls(engine="reference").get_params()["engine"] == "reference"
-
-
-@pytest.mark.parametrize("cls", ENGINES)
+@pytest.mark.parametrize("cls", DETECTORS)
 def test_legacy_state_without_engine_restores(cls):
-    """Artifacts saved by repro <= 1.2 predate the engine parameter (and
-    SOD's ndarray neighbor lists); set_state must upgrade them."""
+    """Artifacts saved by repro <= 1.2 hold SOD's neighbor sets instead
+    of ndarray lists; set_state must upgrade them."""
     X = DATASETS[0][1]
     fitted = cls().fit(X)
     state = fitted.get_state()
-    state.pop("engine")
     if cls is SOD:
         state["_train_knn"] = [set(row.tolist())
                                for row in state["_train_knn"]]
     restored = cls.__new__(cls).set_state(state)
-    assert restored.engine == "vectorized"
+    queries = X[:20] * 1.01
+    np.testing.assert_array_equal(restored.decision_function(queries),
+                                  fitted.decision_function(queries))
+
+
+@pytest.mark.parametrize("cls", DETECTORS)
+def test_legacy_state_with_engine_restores(cls):
+    """Artifacts saved by repro 1.3 to 1.6 carry an ``engine`` attribute,
+    which set_state drops."""
+    X = DATASETS[0][1]
+    fitted = cls().fit(X)
+    state = fitted.get_state()
+    state["engine"] = "reference"
+    restored = cls.__new__(cls).set_state(state)
+    assert "engine" not in vars(restored)
     queries = X[:20] * 1.01
     np.testing.assert_array_equal(restored.decision_function(queries),
                                   fitted.decision_function(queries))
 
 
 def test_parity_independent_of_cache_state():
-    """A warm shared cache must not change either engine's scores."""
+    """A warm shared cache must not change SOD's scores."""
     X = StandardScaler().fit_transform(
         make_anomaly_dataset("local", n_inliers=120, n_anomalies=15,
                              n_features=6, random_state=3).X)
@@ -100,9 +103,9 @@ def test_parity_independent_of_cache_state():
     assert kernels.cache_stats()["hits"] >= 1
 
 
-@pytest.mark.parametrize("cls", ENGINES)
+@pytest.mark.parametrize("cls", DETECTORS)
 def test_multi_block_parity(cls, monkeypatch):
-    """The vectorized engines process rows in memory-bounded blocks; a
+    """The vectorized detectors process rows in memory-bounded blocks; a
     tiny element budget forces many blocks, which must not change a
     single score (rows are independent)."""
     import sys
@@ -114,30 +117,30 @@ def test_multi_block_parity(cls, monkeypatch):
     blocked = cls().fit(X).decision_scores_
     monkeypatch.setattr(module, "_BLOCK_ELEMENTS", 2**22)
     single = cls().fit(X).decision_scores_
-    ref = cls(engine="reference").fit(X).decision_scores_
+    ref = ORACLES[cls]().fit(X).decision_scores_
     np.testing.assert_array_equal(blocked, single)
     np.testing.assert_array_equal(blocked, ref)
 
 
 class TestTinyNeighborhoods:
     def test_abod_single_neighbor_matches_reference(self):
-        """Effective k=1 forms no angle pairs; both engines must agree
-        on the reference's k<2 guard (score 0.0) instead of the
-        vectorized variance yielding NaN."""
+        """Effective k=1 forms no angle pairs; the vectorized path must
+        agree with the per-row kernel's k<2 guard (score 0.0) instead of
+        the batched variance yielding NaN."""
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         vec = ABOD().fit(X)
-        ref = ABOD(engine="reference").fit(X)
+        ref = ReferenceABOD().fit(X)
         np.testing.assert_array_equal(vec.decision_scores_,
                                       ref.decision_scores_)
         assert np.all(np.isfinite(vec.decision_scores_))
 
-    @pytest.mark.parametrize("cls", ENGINES)
+    @pytest.mark.parametrize("cls", DETECTORS)
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_tiny_n_parity(self, cls, n):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(n, 3))
         vec = cls().fit(X)
-        ref = cls(engine="reference").fit(X)
+        ref = ORACLES[cls]().fit(X)
         np.testing.assert_array_equal(vec.decision_scores_,
                                       ref.decision_scores_)
 

@@ -231,13 +231,13 @@ class TestCOF:
             det.decision_scores_[:-1], 99)
 
     def test_chaining_distance_zero_for_single(self):
-        from repro.detectors.cof import _average_chaining_distance
-        assert _average_chaining_distance(np.zeros((1, 2))) == 0.0
+        from repro.detectors.cof import _batched_chaining_distances
+        assert _batched_chaining_distances(np.zeros((1, 1, 2)))[0] == 0.0
 
     def test_chaining_distance_two_points(self):
-        from repro.detectors.cof import _average_chaining_distance
-        pts = np.array([[0.0, 0.0], [3.0, 4.0]])
-        assert _average_chaining_distance(pts) == pytest.approx(5.0)
+        from repro.detectors.cof import _batched_chaining_distances
+        pts = np.array([[[0.0, 0.0], [3.0, 4.0]]])
+        assert _batched_chaining_distances(pts)[0] == pytest.approx(5.0)
 
 
 class TestSOD:

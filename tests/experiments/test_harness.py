@@ -225,7 +225,7 @@ class TestSharedNeighborKernel:
         kernels.clear_cache()
 
     def test_num_threads_does_not_change_results(self, tiny_dataset):
-        from repro.kernels import set_num_threads
+        from repro.runtime import configure
 
         try:
             a = run_grid(detectors=("KNN",), datasets=(tiny_dataset,),
@@ -233,7 +233,7 @@ class TestSharedNeighborKernel:
             b = run_grid(detectors=("KNN",), datasets=(tiny_dataset,),
                          seeds=(0,), num_threads=4, **FAST)
         finally:
-            set_num_threads(None)
+            configure(num_threads=None)
         assert a[0] == b[0]
 
     def test_num_threads_validation(self):
@@ -267,17 +267,17 @@ class TestSharedNeighborKernel:
     def test_num_threads_restored_after_grid(self, tiny_dataset):
         """The grid-scoped thread count must not leak into the caller's
         process-global kernel configuration."""
-        from repro.kernels.threading import (get_configured_num_threads,
-                                             set_num_threads)
+        from repro.runtime import configure, configured_context
 
         try:
-            set_num_threads(2)
+            configure(num_threads=2)
             run_grid(detectors=("KNN",), datasets=(tiny_dataset,),
                      seeds=(0,), num_threads=1, **FAST)
-            assert get_configured_num_threads() == 2
-            set_num_threads(None)
+            assert configured_context().num_threads == 2
+            configure(num_threads=None)
             run_grid(detectors=("KNN",), datasets=(tiny_dataset,),
                      seeds=(0,), num_threads=3, **FAST)
-            assert get_configured_num_threads() is None
+            assert getattr(configured_context(), "num_threads", None) \
+                is None
         finally:
-            set_num_threads(None)
+            configure(num_threads=None)

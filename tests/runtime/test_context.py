@@ -119,7 +119,7 @@ class TestScoping:
         """Regression: entering a scope must not freeze the global base
         — configure() calls made inside the scope still take effect for
         fields the scope leaves None (the CLI wraps every command in a
-        RunContext, so a frozen base would make set_num_threads a no-op
+        RunContext, so a frozen base would make configure() a no-op
         there)."""
         with RunContext(seed=0):
             configure(num_threads=2)

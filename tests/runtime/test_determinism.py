@@ -13,11 +13,13 @@ from repro.data.preprocessing import StandardScaler
 from repro.data.synthetic import make_anomaly_dataset
 from repro.detectors.registry import make_detector
 from repro.experiments.harness import ExperimentRunner, run_grid
-from repro.kernels.threading import (
-    get_configured_num_threads,
-    set_num_threads,
+from repro.runtime import (
+    BACKENDS,
+    Executor,
+    RunContext,
+    configure,
+    configured_context,
 )
-from repro.runtime import BACKENDS, Executor, RunContext
 
 FAST = {"n_iterations": 2,
         "booster_kwargs": {"hidden": 16, "epochs_per_iteration": 2}}
@@ -96,14 +98,14 @@ class TestGrid:
         # spec, i.e. mid-grid, after the runner set up worker contexts.
         bad = {"type": "HBOS", "params": {"n_bins": -1}}
         try:
-            set_num_threads(2)
+            configure(num_threads=2)
             with pytest.raises(ValueError):
                 run_grid(detectors=("IForest", bad),
                          datasets=grid_datasets[:1], seeds=(0,),
                          num_threads=1, **FAST)
-            assert get_configured_num_threads() == 2
+            assert configured_context().num_threads == 2
         finally:
-            set_num_threads(None)
+            configure(num_threads=None)
 
     def test_cache_records_runtime_snapshot(self, grid_datasets, tmp_path):
         run_grid(detectors=("HBOS",), datasets=grid_datasets[:1],

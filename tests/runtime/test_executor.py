@@ -118,7 +118,7 @@ class TestFailuresAndValidation:
 class TestStartWorker:
     def test_unscoped_worker_follows_the_live_base(self):
         """Regression: a worker whose creator had no scoped context must
-        honour configure()/set_num_threads() made after it started (the
+        honour configure() calls made after it started (the
         pre-runtime ScoringService behaviour)."""
         from repro.runtime import configure
 

@@ -7,7 +7,7 @@ import pytest
 
 import repro
 from repro.core import UADBooster
-from repro.core.ensemble import ENGINES, FoldEnsemble
+from repro.core.ensemble import FoldEnsemble
 from repro.detectors.registry import ALL_DETECTOR_NAMES, make_detector
 from repro.serving import (
     ArtifactError,
@@ -17,7 +17,9 @@ from repro.serving import (
     save_model,
 )
 from repro.serving.artifacts import data_fingerprint
+from repro.serving.state import decode, encode
 from tests.conftest import FAST_BOOSTER, FAST_ENSEMBLE
+from tests.oracles import SequentialFoldEnsemble
 
 
 @pytest.fixture(scope="module")
@@ -43,38 +45,59 @@ class TestDetectorRoundTrip:
 
 
 class TestEnsembleRoundTrip:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_predict_exact(self, engine, X, tmp_path):
-        ens = FoldEnsemble(**FAST_ENSEMBLE, engine=engine, random_state=0)
+    def test_predict_exact(self, X, tmp_path):
+        ens = FoldEnsemble(**FAST_ENSEMBLE, random_state=0)
         ens.initialize(X)
         y = np.random.default_rng(1).uniform(size=X.shape[0])
         ens.train_round(X, y)
-        path = save_model(ens, tmp_path / engine)
+        path = save_model(ens, tmp_path / "ens")
         loaded = load_model(path)
         assert np.array_equal(loaded.predict(X.copy()), ens.predict(X))
         assert np.array_equal(loaded.predict_per_fold(X.copy()),
                               ens.predict_per_fold(X))
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_training_continues_bit_identically(self, engine, X, tmp_path):
+    def test_training_continues_bit_identically(self, X, tmp_path):
         """Optimizer moments + rng survive, so resumed training matches."""
         y = np.random.default_rng(1).uniform(size=X.shape[0])
-        reference = FoldEnsemble(**FAST_ENSEMBLE, engine=engine,
+        reference = FoldEnsemble(**FAST_ENSEMBLE,
                                  random_state=0).initialize(X)
         reference.train_round(X, y)
-        saved = load_model(save_model(reference, tmp_path / engine))
+        saved = load_model(save_model(reference, tmp_path / "ens"))
         reference.train_round(X, y)
         saved.train_round(X.copy(), y)
         assert np.array_equal(saved.predict(X.copy()), reference.predict(X))
 
+    def test_legacy_sequential_state_continues_bit_identically(self, X):
+        """States saved by repro <= 1.6 under ``engine="sequential"`` hold
+        per-fold Adam states; loading stacks them, so training resumes
+        exactly where the per-fold loop left off."""
+        y = np.random.default_rng(1).uniform(size=X.shape[0])
+        oracle = SequentialFoldEnsemble(**FAST_ENSEMBLE,
+                                        random_state=0).initialize(X)
+        oracle.train_round(X, y)
+        state = oracle.get_state()
+        state["config"]["engine"] = "sequential"
+        state["optimizers"] = [opt.get_state() for opt in oracle._optimizers]
+        state["batched_opt"] = None
+        # The codec round trip copies every array, as loading from disk
+        # would, so the restored ensemble shares no buffers with the oracle.
+        arrays = {}
+        tree = encode(state, arrays)
+        loaded = FoldEnsemble.__new__(FoldEnsemble).set_state(
+            decode(tree, arrays))
+        assert "engine" not in loaded.get_params()
+        oracle.train_round(X, y)
+        loaded.train_round(X.copy(), y)
+        assert np.array_equal(loaded.predict_per_fold(X.copy()),
+                              oracle.predict_per_fold(X))
+
 
 class TestBoosterRoundTrip:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_scores_exact_on_new_data(self, engine, X, tmp_path, rng):
+    def test_scores_exact_on_new_data(self, X, tmp_path, rng):
         source = make_detector("HBOS").fit(X)
-        booster = UADBooster(**FAST_BOOSTER, engine=engine, random_state=0)
+        booster = UADBooster(**FAST_BOOSTER, random_state=0)
         booster.fit(X, source)
-        path = save_model(booster, tmp_path / engine, data=X)
+        path = save_model(booster, tmp_path / "booster", data=X)
         loaded = load_model(path)
         assert np.array_equal(loaded.scores_, booster.scores_)
         assert np.array_equal(loaded.pseudo_labels_, booster.pseudo_labels_)
@@ -89,6 +112,18 @@ class TestBoosterRoundTrip:
         loaded = load_model(save_model(booster, tmp_path / "b"))
         assert np.array_equal(loaded.history_.pseudo_label_matrix(),
                               booster.history_.pseudo_label_matrix())
+
+    def test_legacy_engine_config_dropped(self, X, rng):
+        """Booster states saved by repro <= 1.6 carry an ``engine`` key."""
+        booster = UADBooster(**FAST_BOOSTER, random_state=0)
+        booster.fit(X, make_detector("HBOS").fit(X))
+        state = booster.get_state()
+        state["config"]["engine"] = "batched"
+        loaded = UADBooster.__new__(UADBooster).set_state(state)
+        assert "engine" not in loaded.get_params()
+        X_new = rng.normal(size=(11, X.shape[1]))
+        assert np.array_equal(loaded.score_samples(X_new),
+                              booster.score_samples(X_new))
 
 
 class TestManifest:

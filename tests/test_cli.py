@@ -26,9 +26,9 @@ class TestParser:
 
 class TestThreadsFlag:
     def test_threads_flag_scopes_a_run_context(self):
-        from repro.kernels import get_num_threads
+        from repro.runtime import resolve_num_threads
 
-        before = get_num_threads()
+        before = resolve_num_threads()
         code, text = run_cli("--threads", "3", "runtime-info", "--json")
         assert code == 0
         info = json.loads(text)
@@ -36,7 +36,7 @@ class TestThreadsFlag:
         assert info["sources"]["num_threads"] == "context"
         # The context is scoped to the command: nothing leaks into the
         # caller's process-global configuration.
-        assert get_num_threads() == before
+        assert resolve_num_threads() == before
 
     def test_threads_rejects_nonpositive(self):
         with pytest.raises(SystemExit):
